@@ -23,18 +23,12 @@ from repro.accounting.methods import (
     EnergyBasedAccounting,
     RuntimeAccounting,
 )
-from repro.accounting.pricing import (
-    PricingKernel,
-    SegmentLedger,
-    SettlementQueue,
-)
+from repro.accounting.pricing import SegmentLedger, SettlementQueue
 from repro.apps.cholesky import random_spd, tiled_cholesky
 from repro.apps.graph import pagerank
 from repro.hardware.rapl import SimulatedRAPL
-from repro.sim.cluster import ClusterSim
 from repro.sim.engine import MultiClusterSimulator, pricing_for_sim_machine
-from repro.sim.job import Job
-from repro.sim.migration import MigratingSimulator, RunningTable, _Progress
+from repro.sim.migration import MigratingSimulator
 from repro.sim.policies import EFTPolicy, GreedyPolicy, LargestFirstPolicy
 from repro.sim.scenarios import (
     baseline_scenario,
@@ -147,100 +141,6 @@ def test_migration_throughput_1k_jobs(run_once, benchmark):
     )
     result = run_once(benchmark, sim.run, wl)
     assert result.n_jobs == len(wl)
-
-
-def _staged_migration_tick(n_running: int):
-    """A migration simulator frozen mid-run with ``n_running`` narrow
-    jobs running across the wide machines — the deep-concurrency state
-    the columnar re-evaluation tick is built for.
-
-    ``min_saving=0.95`` keeps every re-evaluation decision a no-move, so
-    the staged state is reusable across benchmark rounds.
-    """
-    machines = low_carbon_scenario(days=20, seed=0)
-    wide = [m for m in machines if machines[m].total_cores >= 500]
-    names = list(machines)
-    jobs = []
-    for i in range(n_running):
-        home = wide[i % len(wide)]
-        runtimes = {
-            m: 3600.0 * (1 + (i % 7)) * (1.2 if m != home else 1.0)
-            for m in names
-        }
-        energies = {m: 1e6 * (1 + (i % 5)) for m in names}
-        jobs.append(
-            Job(
-                job_id=i,
-                user=i,
-                cores=1,
-                submit_s=0.0,
-                runtime_s=runtimes,
-                energy_j=energies,
-            )
-        )
-    sim = MigratingSimulator(
-        machines, CarbonBasedAccounting(), GreedyPolicy(), min_saving=0.95
-    )
-    sim._kernel = PricingKernel(jobs, sim.pricings, sim.method)
-    sim._ledger = SegmentLedger(sim.method, sim.pricings)
-    sim._owners = []
-    sim._quoters = {
-        name: sim.method.probe_kernel(pricing)
-        for name, pricing in sim.pricings.items()
-    }
-    table = RunningTable()
-    sim._running = table
-    clusters = {name: ClusterSim(m) for name, m in machines.items()}
-    progress = {}
-    for i, job in enumerate(jobs):
-        home = wide[i % len(wide)]
-        cluster = clusters[home]
-        cluster.enqueue(job)
-        started = cluster.startable(0.0)  # mutates: pops + starts the job
-        if not started:
-            raise RuntimeError(f"staged job {job.job_id} failed to start")
-        state = _Progress(job=job)
-        state.segment_start_s = 0.0
-        state.segment_machine = home
-        progress[job.job_id] = state
-        table.add(
-            job.job_id,
-            sim._kernel.row_of[job.job_id],
-            sim._name_idx[home],
-            0.0,
-            job.runtime_s[home],
-            1.0,
-            state,
-        )
-    return sim, clusters, progress
-
-
-def test_migration_reeval_tick(benchmark):
-    """The columnar re-evaluation tick over 512 running jobs: one
-    vectorized candidate pass over the :class:`RunningTable`, one
-    ``charge_many`` per machine for all stay/move probes, and one
-    masked-argmin decision pass over the probe matrix (reference: a
-    Python walk over every running dict, a scalar probe per
-    (job, machine) pair, and a per-candidate decision loop)."""
-    sim, clusters, progress = _staged_migration_tick(512)
-    moved = benchmark(sim._reevaluate, clusters, progress, {}, 1800.0)
-    assert moved is False  # min_saving=0.95: probes run, nothing moves
-    assert len(sim._running) == 512
-
-
-def test_migration_reeval_multi_tick(benchmark):
-    """A quiet 16-tick re-evaluation run over 512 running jobs priced in
-    one flattened ``charge_many`` pass per machine — the batch the
-    event calendar's ``next_disturbance`` horizon licenses when no
-    arrival or finish falls between consecutive ticks (reference: 16
-    sequential :func:`test_migration_reeval_tick` passes)."""
-    sim, clusters, progress = _staged_migration_tick(512)
-    ticks = [1800.0 * (k + 1) for k in range(16)]
-    moved, consumed = benchmark(sim._reevaluate_multi, clusters, {}, ticks)
-    assert moved is False  # min_saving=0.95: state untouched, reusable
-    assert consumed == ticks[-1]  # no mover: the whole run was consumed
-    assert sim.multi_tick_batches > 0
-    assert len(sim._running) == 512
 
 
 def test_sweep_short_runs_kernel_cache(run_once, benchmark):

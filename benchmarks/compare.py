@@ -71,8 +71,6 @@ REQUIRED_BENCHMARKS = (
     "test_workload_generation_2k",
     "test_event_loop_throughput",
     "test_migration_throughput_1k_jobs",
-    "test_migration_reeval_tick",
-    "test_migration_reeval_multi_tick",
     "test_migration_segment_settle_10k",
     "test_faas_settlement_5k_records",
     "test_sweep_short_runs_kernel_cache",

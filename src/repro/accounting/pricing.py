@@ -42,9 +42,9 @@ identical to the debit-immediately reference path.
 
 :class:`OutcomeTable` is the columnar result container: one NumPy array
 per :class:`~repro.sim.job.JobOutcome` field plus a machine code table.
-It is what makes ``SimulationResult`` aggregates array expressions and
-what the sweep engine ships between processes through shared memory
-without pickling per-row objects.
+It is what makes ``SimulationResult`` aggregates array expressions, and
+it pickles as whole columns (never per-row objects) when sweep workers
+return results to the parent.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from typing import (
     Any,
     Callable,
     Hashable,
-    Iterable,
     Mapping,
     Sequence,
     cast,
@@ -268,66 +267,6 @@ class OutcomeTable:
             setattr(self, name, state[name])
         self._rows_cache = None
 
-    # ------------------------------------------------------------------
-    # Shared-memory transport (mirrors QuoteTable.to_shm()/attach(): the
-    # sender packs columns into one named block and ships the small
-    # picklable descriptor; the receiver copies out, closes, and unlinks).
-    def to_shm(self, hand_off: bool = False) -> OutcomeTableShm:
-        """Copy the columns into a shared-memory block.
-
-        Returns the :class:`OutcomeTableShm` descriptor another process
-        passes to :meth:`attach`.  With ``hand_off=True`` the caller
-        declares the *receiving* process responsible for
-        :meth:`OutcomeTableShm.unlink` (the sweep workers' result path),
-        and this process's resource tracker forgets the block.
-        """
-        return _pack_outcome_columns(
-            [self], len(self), self.machines, hand_off=hand_off
-        )
-
-    @classmethod
-    def stream_to_shm(
-        cls,
-        blocks: Iterable[OutcomeTable],
-        n_rows: int,
-        machines: Sequence[str],
-        hand_off: bool = False,
-    ) -> OutcomeTableShm:
-        """Pack an iterable of outcome blocks into one shm block.
-
-        The streamed-sweep result path: blocks come straight off an
-        :class:`~repro.accounting.spill.OutcomeSpillStore` iterator, so
-        only one block of rows is ever resident in this process while
-        packing ``n_rows`` total rows for the receiver.
-        """
-        return _pack_outcome_columns(blocks, n_rows, machines, hand_off=hand_off)
-
-    @classmethod
-    def attach(cls, descriptor: OutcomeTableShm) -> OutcomeTable:
-        """Rebuild a table from a descriptor (copy-out semantics).
-
-        Columns are copied into process-local arrays and the block is
-        closed immediately, so the returned table's lifetime is
-        independent of the block's.  The caller still owns
-        :meth:`OutcomeTableShm.unlink`.
-        """
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=descriptor.shm_name)
-        try:
-            columns = {
-                name: np.ndarray(
-                    (length,), np.dtype(ds), buffer=shm.buf, offset=off
-                ).copy()
-                for name, ds, length, off in descriptor.layout
-            }
-        finally:
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - half-built views
-                pass
-        return cls(list(descriptor.machines), **columns)
-
 
 def fingerprint_digest(*parts: object) -> str:
     """Stable hex digest of fingerprint material.
@@ -347,129 +286,11 @@ def fingerprint_digest(*parts: object) -> str:
     return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
 
 
-def _forfeit_shm_cleanup(shm: SharedMemory) -> None:
-    """Hand a block's cleanup responsibility to another process.
-
-    The creating process must not let its resource tracker unlink the
-    block at interpreter exit — the receiving process unlinks after
-    copying out.  Best-effort: a no-op on platforms without the
-    tracker.
-    """
-    try:  # pragma: no cover - depends on interpreter internals
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(
-            shm._name, "shared_memory"
-        )  # type: ignore[attr-defined]
-    except Exception:
-        pass
-
-
-@dataclass(frozen=True, slots=True)
-class OutcomeTableShm:
-    """Picklable descriptor of an :meth:`OutcomeTable.to_shm` block.
-
-    Carries the shared-memory block name, the machine name table, and
-    the exact byte layout — ``(field, dtype, length, offset)`` per
-    column — needed to rebuild the columns with
-    :meth:`OutcomeTable.attach`.
-    """
-
-    shm_name: str
-    machines: tuple[str, ...]
-    layout: tuple[tuple[str, str, int, int], ...]
-
-    def unlink(self) -> None:
-        """Free the named block (receiver-side cleanup; idempotent)."""
-        from multiprocessing import shared_memory
-
-        try:
-            block = shared_memory.SharedMemory(name=self.shm_name)
-        except FileNotFoundError:
-            return
-        block.close()
-        block.unlink()
-
-
-def _outcome_shm_layout(n_rows: int) -> tuple[tuple[str, str, int, int], ...]:
-    """The fixed ``(field, dtype, length, offset)`` byte layout of an
-    ``n_rows``-row outcome block (column dtypes are static, so the
-    layout is computable before any data is seen)."""
-    layout: list[tuple[str, str, int, int]] = []
-    offset = 0
-    for name, dtype in OUTCOME_FIELDS:
-        dt = np.dtype(dtype)
-        layout.append((name, dt.str, n_rows, offset))
-        offset += n_rows * dt.itemsize
-    return tuple(layout)
-
-
-def _pack_outcome_columns(
-    blocks: Iterable[OutcomeTable],
-    n_rows: int,
-    machines: Sequence[str],
-    hand_off: bool,
-) -> OutcomeTableShm:
-    """Copy an iterable of outcome blocks into one shared block.
-
-    Blocks are consumed strictly one at a time, so packing a streamed
-    (spill-store-backed) result never materializes more than one block
-    of rows beyond the destination buffer itself.
-    """
-    from multiprocessing import shared_memory
-
-    machine_list = list(machines)
-    layout = _outcome_shm_layout(n_rows)
-    total = layout[-1][3] + n_rows * np.dtype(OUTCOME_FIELDS[-1][1]).itemsize
-    shm = shared_memory.SharedMemory(create=True, size=max(1, total))
-    try:
-        views = {
-            name: np.ndarray((length,), np.dtype(ds), buffer=shm.buf, offset=off)
-            for name, ds, length, off in layout
-        }
-        row = 0
-        for block in blocks:
-            if block.machines != machine_list:
-                raise ValueError(
-                    "outcome block has a different machine table than "
-                    "the declared one"
-                )
-            n_block = len(block)
-            if row + n_block > n_rows:
-                raise ValueError("outcome blocks exceed the declared row count")
-            for name, _ in OUTCOME_FIELDS:
-                views[name][row : row + n_block] = getattr(block, name)
-            row += n_block
-        if row != n_rows:
-            raise ValueError("outcome blocks fall short of the declared row count")
-        descriptor = OutcomeTableShm(
-            shm_name=shm.name,
-            machines=tuple(machine_list),
-            layout=layout,
-        )
-    except BaseException:
-        # Nothing has seen the block's name yet, so a failed pack must
-        # unlink here or the named block outlives the process.
-        views = {}
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - half-built views
-            pass
-        shm.unlink()
-        raise
-    views = {}
-    shm.close()
-    if hand_off:
-        _forfeit_shm_cleanup(shm)
-    return descriptor
-
-
 # ---------------------------------------------------------------------------
 # Quote tables
 # ---------------------------------------------------------------------------
 #: Sentinel in :attr:`QuoteTable.elig_rank` for (job, machine) pairs the
-#: job cannot use.  Any real eligibility rank is strictly smaller, so a
-#: masked argmin over ranks can never pick an ineligible machine.
+#: job cannot use.  Any real eligibility rank is strictly smaller.
 ELIG_RANK_INELIGIBLE = np.iinfo(np.int32).max
 
 
@@ -489,17 +310,14 @@ class QuoteTable:
     * ``static_views`` — per-job ``(machine, runtime, energy, cost)``
       tuples in the job's own eligibility order (what policies consume),
     * flat per-machine ``runtime`` / ``energy`` arrays keyed by the
-      job's ``row_of`` index (what the outcome post-pass and the
-      migration re-evaluation reuse),
+      job's ``row_of`` index (what the outcome post-pass reuses),
     * ``elig_rank`` — a dense ``(n_jobs, n_machines)`` int32 array
       giving each machine's position in the job's own eligibility walk
       (:attr:`~repro.sim.job.Job.eligible_machines` order;
       :data:`ELIG_RANK_INELIGIBLE` marks machines the job cannot use).
-      This is what lets a vectorized argmin replay the scalar decision
-      loops' first-strict-improvement tie-breaking exactly: among
-      equal-cost machines the scalar walk keeps the *earliest* one, so
-      a masked argmin over ``elig_rank`` restricted to the cost minima
-      selects the identical winner.
+      An attached table rebuilds ``static_views`` from it, and a
+      spawn-context sweep worker rebuilds each job's ``runtime_s``
+      iteration order, so both replay the original eligibility walk.
     """
 
     __slots__ = (
@@ -1129,7 +947,6 @@ class PricingKernel:
         "runtime",
         "energy",
         "static_views",
-        "elig_rank",
         "_carbon",
     )
 
@@ -1162,7 +979,6 @@ class PricingKernel:
         self.runtime = table.runtime
         self.energy = table.energy
         self.static_views = table.static_views
-        self.elig_rank = table.elig_rank
         self._carbon = (
             method
             if isinstance(method, CarbonBasedAccounting)
@@ -1672,7 +1488,6 @@ __all__ = [
     "ELIG_RANK_INELIGIBLE",
     "OUTCOME_FIELDS",
     "OutcomeTable",
-    "OutcomeTableShm",
     "PricingKernel",
     "QuoteTable",
     "QuoteTableCache",

@@ -18,10 +18,8 @@ the CLI's ``--jobs``, ``REPRO_SWEEP_WORKERS``, or the CPU count) while
 sharing the memoized scenario + workload with every worker via fork.
 Each simulation prices jobs through the columnar pricing core
 (:mod:`repro.accounting.pricing` via :mod:`repro.sim.engine`) and
-returns an array-backed ``SimulationResult`` whose columns travel back
-to the parent through shared memory instead of pickled row objects —
-at ``scale=71_190`` the outcome columns dominate sweep IPC.  The
-runner also builds one shared quote table per (scenario, method,
+returns an array-backed ``SimulationResult``, which pickles back to the
+parent as whole columns rather than per-row objects.  The runner also builds one shared quote table per (scenario, method,
 scale, seed) in :meth:`~repro.sim.sweep.SweepRunner._warm`, so the
 eight same-workload policy runs price the workload once between them
 instead of once each (``REPRO_SWEEP_KERNEL_CACHE=0`` restores the

@@ -6,6 +6,9 @@ cell of that (scenario x policy x method x seed) grid is an independent
 deterministic simulation, so the sweep parallelises perfectly: the
 :class:`SweepRunner` fans tasks across a ``ProcessPoolExecutor`` and
 returns exactly the results a serial loop would produce, in task order.
+Workers return results pickled through the executor pipe; a result's
+columnar :class:`~repro.accounting.pricing.OutcomeTable` pickles as
+whole arrays, never as per-row objects.
 
 Workload sharing
 ----------------
@@ -23,21 +26,6 @@ workload's job list bit-identically from the table's own columns —
 no workload regeneration, no re-pricing.  Only with the kernel cache
 *off* do non-fork workers fall back to regenerating through the
 memoized functions.
-
-Shared-memory result return
----------------------------
-At paper scale (``scale=71_190``) the *results* dominate sweep IPC:
-142k outcomes per task used to be pickled row by row through the
-executor pipe.  Because a :class:`SimulationResult` is backed by the
-columnar :class:`~repro.accounting.pricing.OutcomeTable`, each worker
-now copies the raw column buffers into a
-:mod:`multiprocessing.shared_memory` block and sends only a tiny
-descriptor (name + dtypes + shapes) through the pipe; the parent
-reattaches, rebuilds the arrays, and unlinks the block.  No NumPy data
-is pickled, and the reconstruction is an exact byte copy, so results
-are bit-identical to the in-process path.  Set ``shared_memory=False``
-(or ``REPRO_SWEEP_SHM=0``) to fall back to pickled returns; workers
-also fall back automatically if a shared block cannot be created.
 
 Quote-table sharing
 -------------------
@@ -84,8 +72,6 @@ from repro.accounting.base import AccountingMethod
 from repro.accounting.methods import method_by_name
 from repro.accounting.pricing import (
     ELIG_RANK_INELIGIBLE,
-    OutcomeTable,
-    OutcomeTableShm,
     QuoteTable,
     QuoteTableCache,
     QuoteTableCacheStats,
@@ -95,7 +81,6 @@ from repro.accounting.pricing import (
 from repro.sim.engine import (
     MultiClusterSimulator,
     SimulationResult,
-    StreamingSimulationResult,
     pricing_for_sim_machine,
 )
 from repro.sim.job import Job
@@ -118,9 +103,6 @@ WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 #: *how* warm state reaches workers: quote tables are shipped through
 #: shared memory instead of inherited copy-on-write.
 MP_CONTEXT_ENV = "REPRO_SWEEP_MP_CONTEXT"
-
-#: Environment knob disabling shared-memory result return ("0"/"false").
-SHM_ENV = "REPRO_SWEEP_SHM"
 
 #: Environment knob disabling the cross-run quote-table cache
 #: ("0"/"false"): every task then rebuilds its pricing kernel from
@@ -355,85 +337,12 @@ def _stats_delta(before: QuoteTableCacheStats) -> QuoteTableCacheStats:
 
 
 def _execute(runner: "SweepRunner", task: SweepTask):
-    """Worker entry point for pickled returns: ``(result, stats)``
-    where ``stats`` is this task's cache-counter delta *in the worker
-    process* (the parent aggregates them per sweep)."""
+    """Worker entry point: ``(result, stats)`` where ``stats`` is this
+    task's cache-counter delta *in the worker process* (the parent
+    aggregates them per sweep)."""
     before = _QUOTE_TABLES.stats()
     result = runner.run_task(task)
     return result, _stats_delta(before)
-
-
-# ---------------------------------------------------------------------------
-# Pickle-free result transport
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class _ResultShm:
-    """Picklable envelope a worker ships instead of a pickled result:
-    the :class:`~repro.accounting.pricing.OutcomeTableShm` block
-    descriptor plus the scalar result identity."""
-
-    table: OutcomeTableShm
-    policy: str
-    method: str
-    machines: Sequence[str]
-
-
-def _result_to_shm(result: SimulationResult) -> _ResultShm:
-    """Copy a result's column buffers into one shared-memory block and
-    return the picklable envelope the parent rebuilds it from.
-
-    A :class:`~repro.sim.engine.StreamingSimulationResult` is packed
-    block-by-block straight off its spill store
-    (:meth:`OutcomeTable.stream_to_shm`), never materialized: spill
-    segments live in the worker's filesystem/tempdir and must not
-    outlive the worker, yet only one block of rows is resident here
-    while the parent receives the full concatenated columns."""
-    if isinstance(result, StreamingSimulationResult):
-        descriptor = OutcomeTable.stream_to_shm(
-            result.iter_tables(),
-            result.n_jobs,
-            result.store.machines,
-            hand_off=True,
-        )
-    else:
-        # repro-lint: disable=RPL003 (hand_off=True: the parent unlinks after _result_from_shm copies out, or via run()'s abort-path sweep)
-        descriptor = result.table.to_shm(hand_off=True)
-    return _ResultShm(
-        table=descriptor,
-        policy=result.policy,
-        method=result.method,
-        machines=result.machines,
-    )
-
-
-def _result_from_shm(payload: _ResultShm) -> SimulationResult:
-    """Rebuild a :class:`SimulationResult` from a worker's envelope,
-    copying the columns out and unlinking the shared block."""
-    try:
-        table = OutcomeTable.attach(payload.table)
-    finally:
-        payload.table.unlink()
-    return SimulationResult(
-        policy=payload.policy,
-        method=payload.method,
-        machines=list(payload.machines),
-        table=table,
-    )
-
-
-def _execute_shm(runner: "SweepRunner", task: SweepTask):
-    """Worker entry point for shared-memory returns: ``(payload, stats)``
-    where ``payload`` is the block descriptor — or, when a shared block
-    cannot be created, the (picklable) result itself; the parent handles
-    both shapes.
-    """
-    before = _QUOTE_TABLES.stats()
-    result = runner.run_task(task)
-    try:
-        payload = _result_to_shm(result)
-    except OSError:
-        payload = result
-    return payload, _stats_delta(before)
 
 
 class SweepRunner:
@@ -452,10 +361,6 @@ class SweepRunner:
         lookup).
     workers:
         Parallelism cap; see the module docstring for resolution order.
-    shared_memory:
-        Return worker results through :mod:`multiprocessing.shared_memory`
-        instead of pickling them (default; see the module docstring).
-        ``None`` resolves from ``REPRO_SWEEP_SHM``.
     kernel_cache:
         Share one prebuilt
         :class:`~repro.accounting.pricing.QuoteTable` per distinct
@@ -490,7 +395,6 @@ class SweepRunner:
         workload_fn: Callable[..., Workload],
         method_fn: Callable[[str], AccountingMethod] = method_by_name,
         workers: int | None = None,
-        shared_memory: bool | None = None,
         kernel_cache: bool | None = None,
         mp_context: str | None = None,
     ) -> None:
@@ -508,11 +412,6 @@ class SweepRunner:
                     f"this platform supports {available}"
                 )
         self.mp_context = mp_context
-        if shared_memory is None:
-            shared_memory = os.environ.get(SHM_ENV, "1").lower() not in (
-                "0", "false", "no",
-            )
-        self.shared_memory = shared_memory
         if kernel_cache is None:
             kernel_cache = os.environ.get(KERNEL_CACHE_ENV, "1").lower() not in (
                 "0", "false", "no",
@@ -678,33 +577,14 @@ class SweepRunner:
             # tables through shared memory so they attach instead of
             # regenerating workload + kernel per worker.
             self._ship_tables(tasks)
-        worker = _execute_shm if self.shared_memory else _execute
-        raw: list = []
         try:
             with ProcessPoolExecutor(
                 max_workers=workers, mp_context=context
             ) as pool:
-                for item in pool.map(partial(worker, self), tasks):
-                    raw.append(item)
-            results = [
-                _result_from_shm(r) if isinstance(r, _ResultShm) else r
-                for r, _ in raw
-            ]
-        except BaseException:
-            # A failed task aborts the sweep mid-stream; unlink every
-            # shared block whose descriptor already reached us so the
-            # columns don't outlive the run (workers handed cleanup
-            # responsibility to this process).
-            for item in raw:
-                payload = item[0] if isinstance(item, tuple) else item
-                if isinstance(payload, _ResultShm):
-                    try:
-                        payload.table.unlink()
-                    except OSError:
-                        pass
-            raise
+                raw = list(pool.map(partial(_execute, self), tasks))
         finally:
             self._release_shipped()
+        results = [result for result, _ in raw]
         self._record_cache_stats(stats_before)
         self.last_worker_cache_stats = QuoteTableCacheStats(
             size=0,

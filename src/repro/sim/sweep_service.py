@@ -7,8 +7,8 @@ policy-search loops behind the paper's Table 6 and Fig. 7 instead issue
 expensive state alive between submissions:
 
 * a **persistent worker pool** on ``SweepRunner``'s transport (fork /
-  spawn / forkserver processes, shared-memory result return, worker-
-  local quote-table caches that stay warm across tasks);
+  spawn / forkserver processes, pickled result return, worker-local
+  quote-table caches that stay warm across tasks);
 * an **async submission queue**: :meth:`SweepService.submit` returns a
   :class:`SweepSubmission` immediately and results stream through it
   as they land, store hits first;
@@ -55,12 +55,8 @@ from repro.sim.policies import standard_policies
 from repro.sim.result_store import ResultStore, ResultStoreStats, task_store_key
 from repro.sim.sweep import (
     MP_CONTEXT_ENV,
-    SHM_ENV,
     SweepRunner,
     SweepTask,
-    _ResultShm,
-    _result_from_shm,
-    _result_to_shm,
     resolve_workers,
     sweep_grid,
 )
@@ -213,7 +209,6 @@ def _service_worker(
     scenario_fn: ScenarioFn,
     workload_fn: WorkloadFn,
     method_fn: MethodFn,
-    use_shm: bool,
 ) -> None:
     """Worker main loop: pull ``(job_id, task)``, push a result message.
 
@@ -222,9 +217,7 @@ def _service_worker(
     of a persistent pool).  Deterministic exceptions are reported as
     ``error`` messages — the worker itself never dies on a bad task.
     """
-    runner = SweepRunner(
-        scenario_fn, workload_fn, method_fn, workers=1, shared_memory=use_shm
-    )
+    runner = SweepRunner(scenario_fn, workload_fn, method_fn, workers=1)
     while True:
         item = inbox.get()
         if item is None:
@@ -232,16 +225,10 @@ def _service_worker(
         job_id, task = item
         try:
             result = runner.run_task(task)
-            payload: object = result
-            if use_shm:
-                try:
-                    payload = _result_to_shm(result)
-                except OSError:
-                    payload = result
         except Exception as exc:
             results.put(("error", job_id, name, f"{type(exc).__name__}: {exc}"))
         else:
-            results.put(("ok", job_id, name, payload))
+            results.put(("ok", job_id, name, result))
 
 
 class SweepService:
@@ -263,9 +250,6 @@ class SweepService:
     mp_context:
         ``"fork"`` / ``"spawn"`` / ``"forkserver"`` (``None``:
         ``REPRO_SWEEP_MP_CONTEXT`` or the platform default).
-    shared_memory:
-        Ship computed results as shared-memory blocks (``None``:
-        ``REPRO_SWEEP_SHM``, default on).
     max_retries:
         Crash-retry budget per task; attempt ``n`` backs off
         ``retry_backoff_s * 2**(n-1)`` seconds before requeueing.
@@ -280,7 +264,6 @@ class SweepService:
         store: ResultStore,
         workers: int | None = None,
         mp_context: str | None = None,
-        shared_memory: bool | None = None,
         max_retries: int = 2,
         retry_backoff_s: float = 0.05,
     ) -> None:
@@ -292,12 +275,6 @@ class SweepService:
         if mp_context is None:
             mp_context = os.environ.get(MP_CONTEXT_ENV) or None
         self._ctx = multiprocessing.get_context(mp_context)
-        if shared_memory is None:
-            shared_memory = os.environ.get(SHM_ENV, "1").lower() not in (
-                "0",
-                "false",
-            )
-        self.shared_memory = shared_memory
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self.max_retries = max_retries
@@ -355,7 +332,6 @@ class SweepService:
                 self.scenario_fn,
                 self.workload_fn,
                 self.method_fn,
-                self.shared_memory,
             ),
             name=f"repro-sweep-{name}",
             daemon=True,
@@ -381,8 +357,7 @@ class SweepService:
     def close(self, timeout: float = 10.0) -> None:
         """Stop workers and the dispatcher; fail outstanding jobs.
 
-        Idempotent.  Queued shared-memory result blocks that never got
-        delivered are unlinked here so nothing outlives the service.
+        Idempotent.
         """
         with self._lock:
             if self._closed:
@@ -410,7 +385,6 @@ class SweepService:
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
-        self._drain_result_queue()
 
     def __enter__(self) -> SweepService:
         self.start()
@@ -418,20 +392,6 @@ class SweepService:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def _drain_result_queue(self) -> None:
-        """Unlink any undelivered shared-memory payloads at shutdown."""
-        while True:
-            try:
-                message = self._results_q.get_nowait()
-            except (queue.Empty, OSError, ValueError):
-                return
-            payload = message[3]
-            if isinstance(payload, _ResultShm):
-                try:
-                    payload.table.unlink()
-                except OSError:
-                    pass
 
     # -- keying --------------------------------------------------------
     def _pricing_fingerprint(
@@ -542,19 +502,11 @@ class SweepService:
             job = self._jobs.get(job_id)
         if job is None or job.resolved:
             # A crash-retry raced the original result message: the job
-            # already resolved, so just free the duplicate's block.
-            if isinstance(payload, _ResultShm):
-                try:
-                    payload.table.unlink()
-                except OSError:
-                    pass
+            # already resolved, so the duplicate is dropped.
             return
         if kind == "ok":
-            if isinstance(payload, _ResultShm):
-                result = _result_from_shm(payload)
-            else:
-                assert isinstance(payload, SimulationResult)
-                result = payload
+            assert isinstance(payload, SimulationResult)
+            result = payload
             try:
                 self.store.put(job.key, result)
             except OSError:

@@ -563,18 +563,37 @@ class TestEngineEquivalence:
         assert_results_identical(scalar, reference)
 
 
-@pytest.fixture(scope="module", params=["low-carbon", "tiered"])
+@pytest.fixture(scope="module")
+def baseline_migration_workload(sim_machines):
+    """Long jobs over a two-day window on the §5 baseline machines, so
+    running sets stay deep and CBA re-evaluation really migrates."""
+    cfg = WorkloadConfig(
+        n_base_jobs=300,
+        n_users=40,
+        seed=2,
+        runtime_median_s=8 * 3600.0,
+        arrival_window_s=2 * 24 * 3600.0,
+    )
+    return PatelWorkloadGenerator(sim_machines, cfg).generate()
+
+
+@pytest.fixture(scope="module", params=["baseline", "low-carbon", "tiered"])
 def migration_case(
     request,
+    sim_machines,
+    baseline_migration_workload,
     low_carbon_machines,
     migration_workload,
     tiered_machines,
     tiered_workload,
 ):
-    """Fleets the migration equivalence runs over: the homogeneous
-    low-carbon room and the tiered fleet (slot caps, straggler-inflated
-    runtimes) — migrations must respect destination caps on both the
-    seed port and the simulator."""
+    """Fleets the migration equivalence runs over — every scenario
+    family: the §5 baseline machines, the homogeneous low-carbon room,
+    and the tiered fleet (slot caps, straggler-inflated runtimes), where
+    migrations must respect destination caps on both the seed port and
+    the simulator."""
+    if request.param == "baseline":
+        return sim_machines, baseline_migration_workload
     if request.param == "low-carbon":
         return low_carbon_machines, migration_workload
     return tiered_machines, tiered_workload
@@ -604,76 +623,6 @@ class TestMigrationEquivalence:
         assert_results_identical(batched, reference)
         assert_results_identical(scalar, reference)
 
-    @pytest.mark.parametrize("method", all_methods(), ids=lambda m: m.name)
-    @pytest.mark.parametrize(
-        "tick_min,probe_min",
-        [(0, 0), (0, 10**9)],
-        ids=[
-            "columnar-collect+columnar-probes+argmin-decisions",
-            "columnar-collect+scalar-probes+scalar-decisions",
-        ],
-    )
-    def test_running_table_regimes_bit_identical(
-        self, low_carbon_machines, migration_workload, method, tick_min, probe_min
-    ):
-        """The columnar RunningTable tick, forced on for every
-        re-evaluation (the adaptive thresholds would otherwise leave it
-        idle at this workload's concurrency), in both regimes: fully
-        columnar (charge_many probe matrix + masked-argmin decisions
-        with elig_rank tie-breaking) and scalar probes with the
-        per-candidate decision walk — all five methods, exact equality
-        with the seed loop."""
-        reference = seed_migration_run(
-            low_carbon_machines,
-            method,
-            GreedyPolicy(),
-            migration_workload,
-            min_saving=0.15,
-        )
-        sim = MigratingSimulator(
-            low_carbon_machines, method, GreedyPolicy(), min_saving=0.15
-        )
-        sim.tick_vector_min = tick_min
-        sim.probe_vector_min = probe_min
-        assert_results_identical(sim.run(migration_workload), reference)
-
-    @pytest.mark.parametrize("method", all_methods(), ids=lambda m: m.name)
-    def test_multi_tick_batches_bit_identical(
-        self, low_carbon_machines, migration_workload, method
-    ):
-        """Batched multi-tick re-evaluation: when the calendar shows no
-        arrival/finish between consecutive ticks, the columnar regime
-        prices the whole quiet run in one flattened pass.  Forced on
-        (thresholds zeroed) it must equal both the same forced-columnar
-        simulator with batching disabled (``multi_tick_max=1``) and the
-        seed loop exactly, for all five methods — and the batch path
-        must actually engage, or this proves nothing."""
-        reference = seed_migration_run(
-            low_carbon_machines,
-            method,
-            GreedyPolicy(),
-            migration_workload,
-            min_saving=0.15,
-        )
-        multi = MigratingSimulator(
-            low_carbon_machines, method, GreedyPolicy(), min_saving=0.15
-        )
-        multi.tick_vector_min = 0
-        multi.probe_vector_min = 0
-        single = MigratingSimulator(
-            low_carbon_machines, method, GreedyPolicy(), min_saving=0.15
-        )
-        single.tick_vector_min = 0
-        single.probe_vector_min = 0
-        single.multi_tick_max = 1
-        multi_result = multi.run(migration_workload)
-        single_result = single.run(migration_workload)
-        assert multi.multi_tick_batches > 0
-        assert multi.multi_tick_ticks > multi.multi_tick_batches
-        assert single.multi_tick_batches == 0
-        assert_results_identical(multi_result, reference)
-        assert_results_identical(single_result, reference)
-
     def test_migrations_actually_happen(
         self, low_carbon_machines, migration_workload
     ):
@@ -687,6 +636,20 @@ class TestMigrationEquivalence:
             min_saving=0.15,
         )
         assert result.n_jobs == len(migration_workload)
+        assert result.total_migrations > 0
+
+    def test_baseline_migrations_actually_happen(
+        self, sim_machines, baseline_migration_workload
+    ):
+        """Same guard for the baseline case of ``migration_case``."""
+        result = seed_migration_run(
+            sim_machines,
+            CarbonBasedAccounting(),
+            GreedyPolicy(),
+            baseline_migration_workload,
+            min_saving=0.15,
+        )
+        assert result.n_jobs == len(baseline_migration_workload)
         assert result.total_migrations > 0
 
 

@@ -222,8 +222,8 @@ class TestKnobs:
 
 
 class TestVectorizedDecisionTieBreak:
-    """Exactly tied move targets: the masked-argmin decision pass must
-    pick the scalar walk's winner — the *first* machine in the job's own
+    """Exactly tied move targets: the default decision pass must pick
+    the scalar walk's winner — the *first* machine in the job's own
     eligibility order that reaches the minimum move cost."""
 
     @pytest.fixture()
@@ -290,123 +290,110 @@ class TestVectorizedDecisionTieBreak:
     ):
         machines, workload = tied_world
         reference = self._run(machines, workload, batched=False).run(workload)
-        vectorized = self._run(machines, workload)
-        vectorized.tick_vector_min = 0
-        vectorized.probe_vector_min = 0
-        result = vectorized.run(workload)
+        result = self._run(machines, workload).run(workload)
         assert result.outcomes == reference.outcomes
         # The tie must actually occur and resolve to the first-eligible
-        # clone, or this proves nothing about argmin tie-breaking.
+        # clone, or this proves nothing about tie-breaking.
         finals = {o.machine for o in reference.outcomes}
         assert finals == {"CloneA"}
 
-
-class TestRunningTableLiveRows:
-    """Dense live-row layout of the running table.
-
-    Rows ``[0, len(table))`` are all live; ``remove`` fills the hole it
-    leaves by swapping the last row down.  ``candidates`` must therefore
-    do zero work proportional to dead capacity — high-churn runs used to
-    pay for their slot-array high-water mark on every tick (bounded, but
-    not eliminated, by the old compaction heuristic)."""
-
-    def _build(self, n):
-        from repro.sim.migration import RunningTable
-
-        table = RunningTable()
-        sentinels = {}
-        for i in range(n):
-            state = object()
-            sentinels[i] = state
-            table.add(
-                job_id=i,
-                job_row=i,
-                machine_idx=i % 4,
-                start_s=0.0,
-                end_s=1000.0 + i,
-                remaining_fraction=1.0,
-                state=state,
+    @pytest.mark.parametrize("batched", [True, False], ids=["default", "scalar"])
+    def test_tie_follows_job_eligibility_order_not_machine_order(
+        self, tied_world, batched
+    ):
+        """Listing CloneB before CloneA in each job's own eligibility
+        order flips the winner, although the simulator's machine order
+        is unchanged: the tie walk is over the job, not the fleet."""
+        machines, workload = tied_world
+        jobs = [
+            dataclasses.replace(
+                job,
+                runtime_s={
+                    name: job.runtime_s[name]
+                    for name in ("Home", "CloneB", "CloneA")
+                },
+                energy_j={
+                    name: job.energy_j[name]
+                    for name in ("Home", "CloneB", "CloneA")
+                },
             )
-        return table, sentinels
-
-    def _churn(self, table, n, keep_every=16):
-        for i in range(n):
-            if i % keep_every:
-                table.remove(i)
-
-    def test_candidates_touch_only_live_rows(self):
-        """The scan-free contract: after heavy churn a scan visits
-        exactly the live rows, never the 512-row high-water mark."""
-        table, _ = self._build(512)
-        self._churn(table, 512)
-        live = 512 // 16
-        assert len(table) == live
-        rows, _, _ = table.candidates(500.0)
-        assert table.last_scan_rows == live
-        assert len(rows) == live
-        assert int(rows.max()) < live
-
-    def test_remove_swaps_last_row_into_hole(self):
-        table, sentinels = self._build(4)
-        table.remove(1)
-        assert len(table) == 3
-        row = table._slot_of[3]
-        assert row == 1
-        assert table.job_id[row] == 3
-        assert table.states[row] is sentinels[3]
-
-    def test_swap_removal_is_invisible_to_the_scan(self):
-        """(job, remaining, frac_done) from a churned table equals the
-        per-survivor scalar math, in (machine, seq) candidate order."""
-        table, _ = self._build(512)
-        self._churn(table, 512)
-        rows, remaining, frac_done = table.candidates(500.0)
-        got = [
-            (int(table.job_id[r]), float(rem), float(f))
-            for r, rem, f in zip(rows, remaining, frac_done)
+            for job in workload.jobs
         ]
-        survivors = sorted(
-            (i for i in range(512) if i % 16 == 0),
-            key=lambda i: (i % 4, i),  # (machine, insertion seq)
+        flipped = Workload(
+            jobs=jobs, config=workload.config, machines=workload.machines
         )
-        expected = []
-        for i in survivors:
-            done = (500.0 - 0.0) / ((1000.0 + i) - 0.0)
-            frac = 1.0 * done
-            expected.append((i, 1.0 - frac, frac))
-        assert got == expected
+        result = self._run(machines, flipped, batched=batched).run(flipped)
+        assert {o.machine for o in result.outcomes} == {"CloneB"}
+        assert len(result.outcomes) == len(jobs)
 
-    def test_capacity_shrinks_as_an_allocator_detail(self):
-        from repro.sim.migration import COMPACT_MIN_CAPACITY
 
-        table, _ = self._build(512)
-        assert len(table.machine) >= 512
-        self._churn(table, 512)
-        assert table.shrinks >= 1
-        assert len(table.machine) < 512
-        assert len(table.machine) >= COMPACT_MIN_CAPACITY
+class _ProbeCheckingSimulator(MigratingSimulator):
+    """Prices every tick's candidates by both probe paths and records
+    any cell where the default scalar-kernel probes differ from the
+    per-record ``charge()`` reference."""
 
-    def test_table_stays_consistent_after_churn(self):
-        table, sentinels = self._build(512)
-        self._churn(table, 512)
-        live = sorted(table._slot_of)
-        assert live == [i for i in range(512) if i % 16 == 0]
-        for job_id, row in table._slot_of.items():
-            assert row < len(table)
-            assert table.job_id[row] == job_id
-            assert table.machine[row] == job_id % 4
-            assert table.end[row] == 1000.0 + job_id
-            assert table.states[row] is sentinels[job_id]
-        # Adds keep working off the shrunk arrays.
-        table.add(
-            job_id=9000,
-            job_row=9000,
-            machine_idx=1,
-            start_s=0.0,
-            end_s=5000.0,
-            remaining_fraction=1.0,
-            state=object(),
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ticks_checked = 0
+        self.cells_checked = 0
+        self.mismatches = []
+
+    def _probe_costs_indexed(self, clusters, candidates, now):
+        out, name_idx = super()._probe_costs_indexed(clusters, candidates, now)
+        reference, ref_idx = self._probe_costs_scalar(clusters, candidates, now)
+        assert ref_idx == name_idx
+        got = np.array(out, dtype=float)
+        same = (got == reference) | (np.isnan(got) & np.isnan(reference))
+        if not same.all():
+            self.mismatches.append(now)
+        self.ticks_checked += 1
+        self.cells_checked += int(np.count_nonzero(~np.isnan(reference)))
+        return out, name_idx
+
+
+@pytest.fixture(scope="module")
+def baseline_long_workload(sim_machines):
+    cfg = WorkloadConfig(
+        n_base_jobs=120,
+        n_users=30,
+        seed=2,
+        runtime_median_s=6 * 3600.0,
+        arrival_window_s=2 * 24 * 3600.0,
+    )
+    return PatelWorkloadGenerator(sim_machines, cfg).generate()
+
+
+@pytest.fixture(scope="module", params=["baseline", "low-carbon", "tiered"])
+def probe_case(
+    request,
+    sim_machines,
+    baseline_long_workload,
+    low_carbon_machines,
+    long_job_workload,
+    tiered_machines,
+    tiered_workload,
+):
+    if request.param == "baseline":
+        return sim_machines, baseline_long_workload
+    if request.param == "low-carbon":
+        return low_carbon_machines, long_job_workload
+    return tiered_machines, tiered_workload
+
+
+class TestTickProbes:
+    """Every stay/move probe the single tick path prices, on every
+    scenario family: the per-machine probe kernels must equal one
+    ``charge()`` per (job, machine) cell bit for bit — not only on the
+    cells whose comparison happened to flip a migration decision."""
+
+    @pytest.mark.parametrize("method", all_methods(), ids=lambda m: m.name)
+    def test_kernel_probes_equal_charge_probes(self, probe_case, method):
+        machines, workload = probe_case
+        sim = _ProbeCheckingSimulator(
+            machines, method, GreedyPolicy(), min_saving=0.15
         )
-        assert 9000 in table._slot_of
-        assert len(table) == len(live) + 1
-        assert table.job_id[table._slot_of[9000]] == 9000
+        result = sim.run(workload)
+        assert result.n_jobs == len(workload)
+        assert sim.ticks_checked > 0
+        assert sim.cells_checked > sim.ticks_checked
+        assert sim.mismatches == []

@@ -1,4 +1,4 @@
-"""The content-addressed result store and the OutcomeTable shm transport.
+"""The content-addressed result store.
 
 Recovery contract under test: *anything* undecodable on disk —
 truncated, corrupt, wrong format — is a miss that deletes the entry and
@@ -7,6 +7,7 @@ recomputes; the store never raises for bad bytes.
 
 import io
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -127,6 +128,9 @@ class TestKeying:
             for name in names
         }
         assert len(keys) == len(names)
+
+    def test_store_format_in_module_all(self):
+        assert isinstance(STORE_FORMAT, str) and STORE_FORMAT
 
 
 class TestRoundTrip:
@@ -310,83 +314,42 @@ class TestEviction:
         }
 
 
-class TestOutcomeTableShm:
-    """The PR-7 leftover: outcome tables ship as shm blocks, both whole
-    and streamed block-at-a-time."""
+class TestPickleTransport:
+    """Pool workers return results by pickle only: a result and its
+    columnar outcome table must survive the round trip bit for bit, and
+    ship columns without the rebuildable row cache."""
 
-    def _table(self, sample_results):
-        return sample_results["EBA"].table
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_table_round_trip(self, sample_results, method):
+        table = sample_results[method].table
+        clone = pickle.loads(pickle.dumps(table))
+        assert clone.machines == table.machines
+        assert len(clone) == len(table)
+        for name, dtype in OUTCOME_FIELDS:
+            column = getattr(clone, name)
+            assert column.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(column, getattr(table, name))
+        assert clone.rows() == table.rows()
 
-    def test_round_trip(self, sample_results):
-        table = self._table(sample_results)
-        descriptor = table.to_shm()
-        try:
-            attached = OutcomeTable.attach(descriptor)
-        finally:
-            descriptor.unlink()
-        assert attached.machines == table.machines
-        assert len(attached) == len(table)
-        for name, _ in OUTCOME_FIELDS:
-            np.testing.assert_array_equal(
-                getattr(attached, name), getattr(table, name)
-            )
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_result_round_trip(self, sample_results, method):
+        result = sample_results[method]
+        assert_results_equal(pickle.loads(pickle.dumps(result)), result)
 
-    def test_stream_to_shm_from_blocks(self, sample_results):
-        table = self._table(sample_results)
-        split = len(table) // 2
-        blocks = [
-            OutcomeTable(
-                list(table.machines),
-                **{
-                    name: getattr(table, name)[sl]
-                    for name, _ in OUTCOME_FIELDS
-                },
-            )
-            for sl in (slice(None, split), slice(split, None))
-        ]
-        descriptor = OutcomeTable.stream_to_shm(
-            iter(blocks), len(table), list(table.machines)
+    def test_empty_table_round_trip(self, machines):
+        empty = OutcomeTable.empty(list(machines))
+        clone = pickle.loads(pickle.dumps(empty))
+        assert len(clone) == 0
+        assert clone.machines == list(machines)
+        assert clone.rows() == []
+
+    def test_row_cache_is_not_shipped(self, sample_results):
+        table = sample_results["CBA"].table
+        cold = OutcomeTable(
+            table.machines,
+            **{name: getattr(table, name) for name, _ in OUTCOME_FIELDS},
         )
-        try:
-            attached = OutcomeTable.attach(descriptor)
-        finally:
-            descriptor.unlink()
-        for name, _ in OUTCOME_FIELDS:
-            np.testing.assert_array_equal(
-                getattr(attached, name), getattr(table, name)
-            )
-
-    def test_empty_table_round_trip(self, sample_results):
-        table = self._table(sample_results)
-        empty = OutcomeTable(
-            list(table.machines),
-            **{
-                name: getattr(table, name)[:0]
-                for name, _ in OUTCOME_FIELDS
-            },
-        )
-        descriptor = empty.to_shm()
-        try:
-            attached = OutcomeTable.attach(descriptor)
-        finally:
-            descriptor.unlink()
-        assert len(attached) == 0
-
-    def test_unlink_is_idempotent(self, sample_results):
-        descriptor = self._table(sample_results).to_shm()
-        descriptor.unlink()
-        descriptor.unlink()  # second call: clean no-op
-
-    def test_row_count_mismatch_raises_without_leak(self, sample_results):
-        table = self._table(sample_results)
-        with pytest.raises(ValueError, match="row count"):
-            OutcomeTable.stream_to_shm(
-                iter([table]), len(table) + 1, list(table.machines)
-            )
-        with pytest.raises(ValueError, match="row count"):
-            OutcomeTable.stream_to_shm(
-                iter([table]), len(table) - 1, list(table.machines)
-            )
-
-    def test_store_format_in_module_all(self):
-        assert isinstance(STORE_FORMAT, str) and STORE_FORMAT
+        assert table.rows()  # built: the cache is populated
+        assert "_rows_cache" not in table.__getstate__()
+        assert len(pickle.dumps(table)) == len(pickle.dumps(cold))
+        assert pickle.loads(pickle.dumps(table))._rows_cache is None

@@ -178,86 +178,57 @@ class TestSweepRunner:
             runner.run_task(SweepTask("baseline", "greedy", "EBA", SCALE, SEED))
 
 
-class TestSharedMemoryReturn:
-    """Pickle-free result transport: byte-identical to pickled returns."""
+class TestResultReturn:
+    """Pool workers return results pickled through the executor pipe."""
 
-    def test_shm_round_trip_preserves_result(self, sweep_fns):
-        from repro.sim.sweep import _result_from_shm, _result_to_shm
-
-        scenario, workload, method_for = sweep_fns
-        runner = SweepRunner(scenario, workload, method_for, workers=1)
-        original = runner.run_task(
-            SweepTask("baseline", "Greedy", "EBA", SCALE, SEED)
-        )
-        clone = _result_from_shm(_result_to_shm(original))
-        assert clone.policy == original.policy
-        assert clone.method == original.method
-        assert clone.machines == original.machines
-        assert clone.outcomes == original.outcomes
-
-    def test_parallel_shm_matches_pickled(self, sweep_fns):
-        scenario, workload, method_for = sweep_fns
-        tasks = [
-            SweepTask("baseline", p.name, "EBA", SCALE, SEED)
-            for p in standard_policies()[:3]
-        ]
-        with_shm = SweepRunner(
-            scenario, workload, method_for, workers=2, shared_memory=True
-        ).run(tasks)
-        pickled = SweepRunner(
-            scenario, workload, method_for, workers=2, shared_memory=False
-        ).run(tasks)
-        for task in tasks:
-            assert with_shm[task].outcomes == pickled[task].outcomes
-
-    def test_env_knob_disables_shm(self, sweep_fns, monkeypatch):
-        scenario, workload, method_for = sweep_fns
-        monkeypatch.setenv("REPRO_SWEEP_SHM", "0")
-        assert not SweepRunner(scenario, workload, method_for).shared_memory
-        monkeypatch.delenv("REPRO_SWEEP_SHM")
-        assert SweepRunner(scenario, workload, method_for).shared_memory
-
-    def test_env_knob_fallback_path_matches_serial(self, sweep_fns, monkeypatch):
-        """REPRO_SWEEP_SHM=0 through a real pool: the pickled-return
-        fallback must produce bit-identical results."""
+    def test_pool_results_match_serial(self, sweep_fns):
+        """A plain 2-worker pool: every returned result keeps its
+        identity fields and is bit-identical to the serial loop."""
         from repro.experiments._simulation import policy_sweep_serial
 
         scenario, workload, method_for = sweep_fns
-        monkeypatch.setenv("REPRO_SWEEP_SHM", "0")
         runner = SweepRunner(scenario, workload, method_for, workers=2)
-        assert not runner.shared_memory
         tasks = [
-            SweepTask("baseline", p.name, "EBA", SCALE, SEED)
+            SweepTask("baseline", p.name, "CBA", SCALE, SEED)
             for p in standard_policies()[:3]
         ]
         results = runner.run(tasks)
-        serial = policy_sweep_serial("baseline", "EBA", SCALE, SEED)
+        serial = policy_sweep_serial("baseline", "CBA", SCALE, SEED)
         for task in tasks:
-            assert results[task].outcomes == serial[task.policy].outcomes
+            got, want = results[task], serial[task.policy]
+            assert (got.policy, got.method) == (want.policy, want.method)
+            assert got.machines == want.machines
+            assert got.outcomes == want.outcomes
 
-    def test_shm_creation_failure_falls_back_to_pickling(
-        self, sweep_fns, monkeypatch
-    ):
-        """A worker that cannot create a shared block returns the result
-        itself; the parent must handle the mixed shapes."""
-        import repro.sim.sweep as sweep_mod
-
-        def broken(result):
-            raise OSError("no shared memory on this box")
-
-        # Patched before the pool forks, so workers inherit the failure.
-        monkeypatch.setattr(sweep_mod, "_result_to_shm", broken)
+    def test_pool_results_keep_task_order(self, sweep_fns):
+        """Results come back keyed in the order the tasks were given,
+        whatever order the workers finish in."""
         scenario, workload, method_for = sweep_fns
-        runner = SweepRunner(
-            scenario, workload, method_for, workers=2, shared_memory=True
-        )
+        runner = SweepRunner(scenario, workload, method_for, workers=2)
+        tasks = [
+            SweepTask("baseline", p.name, method, SCALE, SEED)
+            for p in reversed(standard_policies()[:3])
+            for method in ("CBA", "EBA")
+        ]
+        results = runner.run(tasks)
+        assert list(results) == tasks
+        for task, result in results.items():
+            assert (result.policy, result.method) == (task.policy, task.method)
+
+    def test_pool_results_ship_columns_only(self, sweep_fns):
+        """A returned result carries its outcome columns; the row view
+        is rebuilt lazily in the parent and equals the worker's rows."""
+        scenario, workload, method_for = sweep_fns
+        runner = SweepRunner(scenario, workload, method_for, workers=2)
         tasks = [
             SweepTask("baseline", p.name, "EBA", SCALE, SEED)
             for p in standard_policies()[:2]
         ]
         results = runner.run(tasks)
-        reference = runner.run_task(tasks[0])
-        assert results[tasks[0]].outcomes == reference.outcomes
+        for task in tasks:
+            table = results[task].table
+            assert table._rows_cache is None
+            assert table.rows() == runner.run_task(task).outcomes
 
 
 class TestKernelCache:
@@ -551,6 +522,39 @@ class TestSpawnContext:
                 shared_memory.SharedMemory(name=name)
         runner.run(tasks)  # the full path drains the dict too
         assert runner._shipped == {}
+        clear_quote_tables()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform"
+    )
+    def test_spawn_runs_leave_no_dev_shm_entries(self, sweep_fns):
+        """Quote-table shipping is the only shared-memory user: a
+        spawn-context run must unlink every block it created, both when
+        it completes and when a task raises mid-sweep."""
+        scenario, workload, method_for = sweep_fns
+
+        def shm_entries():
+            return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+        clear_quote_tables()
+        runner = SweepRunner(
+            scenario, workload, method_for, workers=2,
+            mp_context="spawn", kernel_cache=True,
+        )
+        good = [
+            SweepTask("baseline", p.name, "EBA", SCALE, SEED)
+            for p in standard_policies()[:2]
+        ]
+        before = shm_entries()
+        runner.run(good)
+        assert runner.last_worker_cache_stats.shm_attached >= 1
+        assert shm_entries() - before == set()
+
+        failing = [*good, SweepTask("baseline", "greedy", "EBA", SCALE, SEED)]
+        with pytest.raises(KeyError, match="unknown policy 'greedy'"):
+            runner.run(failing)
+        assert runner._shipped == {}
+        assert shm_entries() - before == set()
         clear_quote_tables()
 
 

@@ -83,8 +83,8 @@ _MODULE_SCOPES: dict[str, frozenset[str]] = {
             "accounting/pricing.py",
         }
     ),
-    # Modules that own a shared-memory transport: pickling a quote or
-    # outcome table here bypasses the descriptor path and re-copies the
+    # Modules on the quote-table shared-memory transport: pickling a
+    # quote table here bypasses the descriptor path and re-copies the
     # columns per worker.
     "RPL008": frozenset(
         {
@@ -523,9 +523,9 @@ class InvariantChecker(ast.NodeVisitor):
                 "RPL008",
                 node,
                 f"'{dotted}()' in a module with a shared-memory transport; "
-                "quote/outcome tables ship as shm descriptors "
-                "(QuoteTable.to_shm()/attach()) — pickling re-copies the "
-                "columns into every worker",
+                "quote tables ship as shm descriptors "
+                "(QuoteTable.to_shm()/attach()) — pickling one re-copies "
+                "its columns into every worker",
             )
 
     def _check_scalar_charge(self, node: ast.Call) -> None:
