@@ -128,6 +128,29 @@ def test_event_loop_throughput(run_once, benchmark):
     assert result.mean_queue_wait_s() > 100 * 3600.0
 
 
+def test_engine_deep_queue_theta(run_once, benchmark):
+    """The deepest-queue engine run of the §5 study: every job sent to
+    Theta (``FixedMachinePolicy``) on the baseline workload at scale
+    6000, so the single queue runs thousands of jobs past the backfill
+    window and each real scan must cost O(window), not O(queue).  The
+    quote table is prebuilt outside the clock, as the sweep's cache
+    does, so the timing is the event loop and the cluster scan."""
+    from repro.accounting.pricing import QuoteTable
+    from repro.experiments._simulation import scenario, workload
+    from repro.sim.policies import FixedMachinePolicy
+
+    machines = dict(scenario("baseline", 0))
+    wl = workload("baseline", 6000, 0)
+    method = EnergyBasedAccounting()
+    pricings = {name: pricing_for_sim_machine(m) for name, m in machines.items()}
+    table = QuoteTable.build(wl.jobs, pricings, method)
+    sim = MultiClusterSimulator(
+        machines, method, FixedMachinePolicy("Theta"), quote_table=table
+    )
+    result = run_once(benchmark, sim.run, wl)
+    assert result.n_jobs == len(wl)
+
+
 def test_migration_throughput_1k_jobs(run_once, benchmark):
     """End-to-end batched migration under CBA (quote table + batched
     probes + deferred segment settlement)."""

@@ -70,6 +70,7 @@ REQUIRED_BENCHMARKS = (
     "test_tiered_fleet_throughput",
     "test_workload_generation_2k",
     "test_event_loop_throughput",
+    "test_engine_deep_queue_theta",
     "test_migration_throughput_1k_jobs",
     "test_migration_segment_settle_10k",
     "test_faas_settlement_5k_records",

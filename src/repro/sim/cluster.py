@@ -13,7 +13,11 @@ finish that frees too few cores to admit anyone, an arrival that lands
 behind a blocked window — are answered in O(1) instead of rescanning
 the window.  A real scan runs only when the index says some job may
 actually start, and the scan is the seed's exact bounded FCFS+backfill
-loop, so start decisions are bit-identical to always rescanning.
+loop, so start decisions are bit-identical to always rescanning.  The
+scan costs O(window) at any queue depth: it deletes started jobs from
+the deque in place and files every job it leaves behind into a blocked
+bucket as it examines it, so afterwards only the jobs that shifted into
+the window need classifying.
 
 Three machine-specific rules live here:
 
@@ -23,7 +27,7 @@ Three machine-specific rules live here:
   limits): when ``SimMachine.max_concurrent_jobs`` is set, at most that
   many jobs run at once regardless of free cores.  Cap-blocked jobs
   stay in the window, and because the ready-queue index never learns
-  about the cap, ``reindex`` keeps the queue marked scan-needed while a
+  about the cap, the scan keeps the queue marked scan-needed while a
   cores-and-user-startable job waits on a slot — so the next finish
   rescans and no start is ever missed;
 * **queue-time estimation** for the EFT/Mixed policies: expected wait is
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.sim.events import ReadyQueue
 from repro.sim.job import Job
@@ -144,11 +149,15 @@ class ClusterSim:
         The indexed fast path: when the ready-queue's blocked buckets
         prove no window job changed state since the last scan, return
         without touching the queue.  Otherwise run the seed's exact
-        bounded scan and reclassify the window under the post-scan
-        state.
+        bounded scan in place: walk the first ``backfill_window`` jobs
+        once, file every job left behind into a blocked bucket as it is
+        examined, and delete the started ones from the deque.  Only the
+        jobs that shift into the window are classified afterwards, so a
+        scan costs O(window) whatever the queue depth.
         """
         ready = self._ready
-        if not ready.jobs or self.free_cores <= 0:
+        queue = ready.jobs
+        if not queue or self.free_cores <= 0:
             return []
         cap = self.max_concurrent
         if cap is not None and len(self.running) >= cap:
@@ -158,30 +167,51 @@ class ClusterSim:
         if not ready.scan_needed():
             return []
         started: list[Job] = []
-        scanned = 0
-        queue = ready.jobs
-        remaining: deque[Job] = deque()
+        positions: list[int] = []
         busy = self._busy_users
-        while queue and scanned < self.backfill_window:
-            job = queue.popleft()
-            scanned += 1
-            if (
-                job.cores <= self.free_cores
-                and job.user not in busy
-                and (cap is None or len(self.running) < cap)
-            ):
-                self._start(job, now)
-                started.append(job)
+        running = self.running
+        blocked_users = ready.blocked_users
+        blocked_users.clear()
+        min_blocked = float("inf")
+        cores_blocked_users: set[int] = set()
+        cap_blocked = False
+        refile = False
+        free = self.free_cores
+        # File each job left behind as it is examined.  Free cores only
+        # shrink and the busy set only grows while the scan runs, so a
+        # job blocked when examined stays blocked for that reason until
+        # its bucket's trigger (enough freed cores, or its user
+        # draining) fires.
+        for position, job in enumerate(islice(queue, self.backfill_window)):
+            if job.user in busy:
+                blocked_users.add(job.user)
+            elif job.cores > free:
+                cores_blocked_users.add(job.user)
+                if job.cores < min_blocked:
+                    min_blocked = job.cores
+            elif cap is not None and len(running) >= cap:
+                # Only the slot cap holds it back, and the index does not
+                # model the cap: keep the queue scan-needed.
+                cap_blocked = True
             else:
-                remaining.append(job)
-        # Re-attach the unstarted (order-preserved) prefix before the
-        # unscanned tail, then rebuild the blocked buckets.  When nothing
-        # was left behind, ``queue`` (popped in place) is already the
-        # residual deque.
-        if remaining:
-            remaining.extend(queue)
-            ready.jobs = remaining
-        ready.reindex(self.free_cores, busy)
+                if job.user in cores_blocked_users:
+                    refile = True
+                self._start(job, now)
+                free = self.free_cores
+                started.append(job)
+                positions.append(position)
+        for position in reversed(positions):
+            del queue[position]
+        if refile:
+            # A job filed cores-blocked has since seen its user start a
+            # smaller job, so the post-scan state holds it user-blocked:
+            # rebuild the buckets from scratch so they (and every later
+            # scan decision) match that state exactly.
+            ready.reindex(free, busy)
+        else:
+            ready.min_blocked_cores = min_blocked
+            ready.synced = not cap_blocked
+            ready.reindex(free, busy, self.backfill_window - len(started))
         return started
 
     def _start(self, job: Job, now: float) -> None:

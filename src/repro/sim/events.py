@@ -23,9 +23,11 @@ the two pieces they now share:
   fits), but the queue keeps per-cluster blocked buckets keyed by
   (min free cores needed, blocking user) so a finish or enqueue that
   provably cannot change any job's state is answered in O(1) instead of
-  O(window) deque churn.  The scan itself is only run — and the buckets
-  rebuilt — when the index says some job may actually start, so results
-  are bit-identical to the always-scan implementation by construction.
+  a rescan.  A real scan runs only when the index says some job may
+  actually start; it requeues in place and files the jobs it leaves
+  behind as it examines them, so :meth:`ReadyQueue.reindex` classifies
+  only the jobs that shifted into the window.  Results are
+  bit-identical to the always-scan implementation by construction.
 """
 
 from __future__ import annotations
@@ -253,19 +255,26 @@ class ReadyQueue:
         """False when the index proves a scan would start nothing."""
         return not self.synced
 
-    def reindex(self, free_cores: int, busy_users: set[int]) -> None:
-        """Rebuild the blocked buckets after a scan, under post-scan state.
+    def reindex(self, free_cores: int, busy_users: set[int], start: int = 0) -> None:
+        """Classify the window jobs from position ``start`` on under the
+        current state.
 
-        Jobs the scan left behind are blocked by construction (free
-        cores only shrank and the busy set only grew while it ran); jobs
-        that shifted into the window when earlier ones started were
-        never examined, so if one of them could start the index stays
-        unsynced and the next event rescans — exactly when the seed's
-        always-scan loop would have started it.
+        With ``start=0`` the buckets are rebuilt from scratch.  A scan
+        passes the first position it did not examine: it already filed
+        every job it left behind (and set ``synced``), so only the jobs
+        that shifted into the window when earlier ones started — at most
+        as many as started — are classified here.  Those were never
+        examined, so if one of them could start the index stays unsynced
+        and the next event rescans — exactly when the seed's always-scan
+        loop would have started it.
         """
-        self.blocked_users.clear()
-        self.min_blocked_cores = float("inf")
-        for job in islice(self.jobs, self.window):
+        if not start:
+            self.blocked_users.clear()
+            self.min_blocked_cores = float("inf")
+            self.synced = True
+        elif not self.synced:
+            return
+        for job in islice(self.jobs, start, self.window):
             if job.user in busy_users:
                 self.blocked_users.add(job.user)
             elif job.cores > free_cores:
@@ -274,4 +283,3 @@ class ReadyQueue:
             else:
                 self.synced = False
                 return
-        self.synced = True

@@ -67,9 +67,11 @@ class TestTable6:
         assert least.policy in ("Energy", "Greedy - EBA")
 
     def test_eft_and_runtime_use_more_energy(self, rows):
-        # The paper reports +51%/+56% at full scale; at this reduced
-        # scale queue contention is weaker, so the gap compresses —
-        # assert a clear (>=5%/>=3%) ordering rather than a magnitude.
+        # The paper reports +51%/+56%.  The gap is not a reduced-scale
+        # artefact: at paper scale (`repro simulate --scale 71190`, seed
+        # 0) this reproduction measures EFT/Energy 1.15 and
+        # Runtime/Energy 1.09 — an open fidelity gap, ROADMAP item 4.
+        # Assert a clear (>=5%/>=3%) ordering rather than a magnitude.
         assert rows["EFT"].energy_mwh > rows["Energy"].energy_mwh * 1.05
         assert rows["Runtime"].energy_mwh > rows["Energy"].energy_mwh * 1.03
 

@@ -1,5 +1,7 @@
 """Cluster queue model: FCFS + backfill + the per-user rule."""
 
+import tracemalloc
+
 import pytest
 
 from repro.sim.cluster import ClusterSim
@@ -110,6 +112,68 @@ class TestBackfill:
     def test_rejects_bad_window(self, sim_machines):
         with pytest.raises(ValueError):
             ClusterSim(sim_machines["IC"], backfill_window=0)
+
+
+class TestScanIndex:
+    """The buckets a scan files equal a rebuild under post-scan state."""
+
+    def test_cores_blocked_job_refiled_when_its_user_starts(self, cluster):
+        cluster.enqueue(job(1, user=0, cores=8))  # starts
+        cluster.enqueue(job(2, user=1, cores=576))  # cores-blocked...
+        cluster.enqueue(job(3, user=1, cores=8))  # ...until its user starts
+        started = cluster.startable(0.0)
+        assert [j.job_id for j in started] == [1, 3]
+        ready = cluster._ready
+        assert ready.synced
+        assert ready.blocked_users == {1}
+        assert ready.min_blocked_cores == float("inf")
+
+    def test_shifted_in_job_that_fits_keeps_scan_needed(self, sim_machines):
+        cluster = ClusterSim(sim_machines["IC"], backfill_window=2)
+        cluster.enqueue(job(1, user=1, cores=8))  # starts
+        cluster.enqueue(job(2, user=1, cores=8))  # user-blocked
+        cluster.enqueue(job(3, user=2, cores=8))  # shifts in, never examined
+        assert [j.job_id for j in cluster.startable(0.0)] == [1]
+        assert not cluster._ready.synced
+        assert [j.job_id for j in cluster.startable(0.0)] == [3]
+        assert cluster._ready.synced
+        assert cluster._ready.blocked_users == {1}
+
+
+class TestScanWork:
+    """One real scan costs O(backfill window), whatever the queue depth.
+
+    Scan work is measured as the allocation peak of a single
+    ``startable`` call, not as time: a scan that copies or rebuilds the
+    queue allocates in proportion to its depth.
+    """
+
+    @staticmethod
+    def _scan_peak(machine, depth):
+        cluster = ClusterSim(machine)
+        cluster.enqueue(job(0, user=0, cores=8))  # starts
+        blocked = job(1, user=1, cores=576)  # never fits once job 0 runs
+        for _ in range(depth - 1):
+            cluster.enqueue(blocked)
+        queue = cluster.queue
+        tracemalloc.start()
+        try:
+            started = cluster.startable(0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [j.job_id for j in started] == [0]
+        assert cluster.queue_length == depth - 1
+        return peak, cluster.queue is queue
+
+    def test_scan_memory_does_not_grow_with_queue_depth(self, sim_machines):
+        shallow, _ = self._scan_peak(sim_machines["IC"], 1_000)
+        deep, _ = self._scan_peak(sim_machines["IC"], 100_000)
+        assert deep - shallow < 32 * 1024
+
+    def test_scan_requeues_in_place(self, sim_machines):
+        _, same_deque = self._scan_peak(sim_machines["IC"], 1_000)
+        assert same_deque
 
 
 class TestWaitEstimate:

@@ -476,6 +476,42 @@ def assert_results_identical(a: SimulationResult, b: SimulationResult) -> None:
 # ---------------------------------------------------------------------------
 # Property test: the indexed ready-queue vs the always-scan cluster
 # ---------------------------------------------------------------------------
+def _replay_random_ops(machine, window, rng, n_ops, p_arrival, p_finish, n_users):
+    """Drive ClusterSim and SeedCluster through one random op sequence
+    (enqueue with probability ``p_arrival``, finish the earliest-ending
+    job up to ``p_finish``, scan after every op), asserting equal state
+    after each op."""
+    new = ClusterSim(machine, backfill_window=window)
+    ref = SeedCluster(machine, backfill_window=window)
+    now = 0.0
+    next_id = 0
+    for _ in range(n_ops):
+        now += rng.random() * 400.0
+        roll = rng.random()
+        if roll < p_arrival:
+            job = Job(
+                job_id=next_id,
+                user=rng.randrange(n_users),
+                cores=rng.choice([8, 48, 240, 576]),
+                submit_s=now,
+                runtime_s={"IC": 10.0 + rng.random() * 2000.0},
+                energy_j={"IC": 1e3},
+            )
+            next_id += 1
+            new.enqueue(job)
+            ref.enqueue(job)
+        elif roll < p_finish and new.running:
+            jid = min(new.running, key=lambda k: (new.running[k].end_s, k))
+            assert new.finish(jid).job_id == ref.finish(jid).job_id
+        started_new = new.startable(now)
+        started_ref = ref.startable(now)
+        assert [j.job_id for j in started_new] == [j.job_id for j in started_ref]
+        assert new.free_cores == ref.free_cores
+        assert [j.job_id for j in new.queue] == [j.job_id for j in ref.queue]
+        assert new.estimated_wait_s(now) == ref.estimated_wait_s(now)
+    return len(ref.queue)
+
+
 class TestReadyQueueEquivalence:
     @pytest.mark.parametrize("window", [1, 2, 7, 64])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -487,38 +523,22 @@ class TestReadyQueueEquivalence:
             sim_machines["IC"], max_concurrent_jobs=cap
         )  # 576 cores
         rng = random.Random(97 * seed + window)
-        new = ClusterSim(machine, backfill_window=window)
-        ref = SeedCluster(machine, backfill_window=window)
-        now = 0.0
-        next_id = 0
-        for _ in range(400):
-            now += rng.random() * 400.0
-            roll = rng.random()
-            if roll < 0.55:
-                job = Job(
-                    job_id=next_id,
-                    user=rng.randrange(5),
-                    cores=rng.choice([8, 48, 240, 576]),
-                    submit_s=now,
-                    runtime_s={"IC": 10.0 + rng.random() * 2000.0},
-                    energy_j={"IC": 1e3},
-                )
-                next_id += 1
-                new.enqueue(job)
-                ref.enqueue(job)
-            elif roll < 0.85 and new.running:
-                jid = min(
-                    new.running, key=lambda k: (new.running[k].end_s, k)
-                )
-                assert new.finish(jid).job_id == ref.finish(jid).job_id
-            started_new = new.startable(now)
-            started_ref = ref.startable(now)
-            assert [j.job_id for j in started_new] == [
-                j.job_id for j in started_ref
-            ]
-            assert new.free_cores == ref.free_cores
-            assert new.queue_length == len(ref.queue)
-            assert new.estimated_wait_s(now) == ref.estimated_wait_s(now)
+        _replay_random_ops(
+            machine, window, rng, 400, p_arrival=0.55, p_finish=0.85, n_users=5
+        )
+
+    @pytest.mark.parametrize("window", [7, 64])
+    @pytest.mark.parametrize("cap", [None, 3], ids=["uncapped", "cap3"])
+    def test_deep_queue_sequences_match_seed_scan(self, sim_machines, window, cap):
+        """Arrival-heavy sequences keep the queue far deeper than the
+        window, so every scan that starts a job shifts unexamined jobs
+        into the window — the path where only those are classified."""
+        machine = dataclasses.replace(sim_machines["IC"], max_concurrent_jobs=cap)
+        rng = random.Random(7919 + window)
+        depth = _replay_random_ops(
+            machine, window, rng, 2000, p_arrival=0.8, p_finish=0.95, n_users=12
+        )
+        assert depth > 10 * window
 
 
 # ---------------------------------------------------------------------------

@@ -142,3 +142,24 @@ class TestReadyQueue:
         rq.push(job(2, cores=4), free_cores=0, busy_users=set())
         rq.reindex(free_cores=10, busy_users=set())
         assert not rq.synced
+
+    def test_reindex_from_offset_keeps_earlier_buckets(self):
+        rq = ReadyQueue(3)
+        for jid, user, cores in ((1, 1, 100), (2, 2, 50), (3, 3, 20)):
+            rq.push(job(jid, user=user, cores=cores), free_cores=0, busy_users=set())
+        # A scan filed the first two jobs itself; only job 3 shifted in.
+        rq.blocked_users = {1}
+        rq.min_blocked_cores = 50
+        rq.synced = True
+        rq.reindex(free_cores=10, busy_users={1}, start=2)
+        assert rq.synced
+        assert rq.blocked_users == {1}
+        assert rq.min_blocked_cores == 20
+
+    def test_reindex_from_offset_leaves_unsynced_index_alone(self):
+        rq = ReadyQueue(2)
+        rq.push(job(1, cores=100), free_cores=0, busy_users=set())
+        rq.push(job(2, cores=200), free_cores=0, busy_users=set())
+        rq.synced = False  # the scan left a cap-blocked job behind
+        rq.reindex(free_cores=10, busy_users=set(), start=1)
+        assert not rq.synced
