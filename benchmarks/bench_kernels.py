@@ -238,6 +238,52 @@ def test_result_store_round_trip_8_policies(run_once, benchmark, tmp_path):
     assert store.stats().corrupt == 0
 
 
+def test_result_store_get_hits(run_once, benchmark, tmp_path):
+    """The store-served resubmit: 20 ``get`` hits on scale-6000 tiered
+    entries plus the ``_result_summary`` the sweep service streams for
+    each — what one resubmit of the perfbench ``sweep`` grid costs once
+    nothing is computed.  Guards the flat entry layout (one read, one
+    body CRC, zero-copy column views)."""
+    from repro.accounting.methods import method_by_name
+    from repro.accounting.pricing import fingerprint_digest
+    from repro.experiments._simulation import scenario, workload
+    from repro.sim.result_store import ResultStore
+    from repro.sim.sweep import SweepRunner, SweepTask
+    from repro.sim.sweep_service import _result_summary
+
+    runner = SweepRunner(
+        scenario_fn=scenario,
+        workload_fn=workload,
+        method_fn=method_by_name,
+        workers=1,
+    )
+    tasks = [
+        SweepTask("tiered", policy, method, 6000, 0)
+        for policy in ("LargestFirst", "Greedy")
+        for method in ("Runtime", "Energy", "Peak", "EBA", "CBA")
+    ]
+    results = runner.run(tasks)
+    store = ResultStore(tmp_path)
+    entries = []  # 20 entries: each result under two keys
+    for copy in range(2):
+        for task in tasks:
+            key = fingerprint_digest("get-hits", copy, task.policy, task.method)
+            store.put(key, results[task])
+            entries.append((task, key))
+
+    def resubmit():
+        summaries = []
+        for task, key in entries:
+            result = store.get(key)
+            assert result is not None
+            summaries.append(_result_summary(task, result))
+        return summaries
+
+    summaries = run_once(benchmark, resubmit)
+    assert summaries == [_result_summary(t, results[t]) for t, _ in entries]
+    assert store.stats().corrupt == 0
+
+
 def _segment_ledger(n: int) -> SegmentLedger:
     machines = low_carbon_scenario(days=20, seed=0)
     pricings = {m: pricing_for_sim_machine(s) for m, s in machines.items()}

@@ -75,6 +75,7 @@ REQUIRED_BENCHMARKS = (
     "test_migration_segment_settle_10k",
     "test_faas_settlement_5k_records",
     "test_sweep_short_runs_kernel_cache",
+    "test_result_store_get_hits",
     "test_swf_stream_1m_jobs",
 )
 

@@ -201,6 +201,15 @@ def _cmd_sweep_serve(args: argparse.Namespace) -> int:
 
     if not _apply_jobs(args):
         return 2
+    if args.max_store_bytes is not None and args.max_store_bytes < 1:
+        print(
+            f"--max-store-bytes must be >= 1, got {args.max_store_bytes}",
+            file=sys.stderr,
+        )
+        return 2
+    if args.max_retries < 0:
+        print(f"--max-retries must be >= 0, got {args.max_retries}", file=sys.stderr)
+        return 2
     service = sweep_service(
         args.store,
         workers=args.jobs,

@@ -27,13 +27,20 @@ a cache, never a source of truth, and deleting it is always safe.
 
 Durability contract
 -------------------
-Writes are atomic (tempfile in the store root + ``os.replace``), reads
-treat *any* undecodable entry — truncated, corrupt, wrong format
-version — as a miss: the entry is deleted, a counter ticks, and the
-caller recomputes.  A crash can therefore never poison the store, only
-shrink it.  Entries are plain ``.npz`` files (one array per
-:data:`~repro.accounting.pricing.OUTCOME_FIELDS` column plus a JSON
-metadata blob) loaded with ``allow_pickle=False``.
+Writes are atomic (tempfile in the store root + ``os.replace``).  An
+entry is one flat file: an 8-byte prefix (header length, CRC-32 of the
+header), a JSON header, then the
+:data:`~repro.accounting.pricing.OUTCOME_FIELDS` columns back to back
+as raw little-endian bytes (layout: ``docs/architecture/sweep-service.md``).
+A read is one ``read()``; each column is a read-only ``np.frombuffer``
+view into those bytes, and nothing is ever unpickled.  Any of these
+turns an entry into a miss: a short or truncated file, a header CRC
+mismatch, a header that is not a JSON object, a ``format`` other than
+:data:`STORE_FORMAT`, a column list other than this version's, a body
+length other than ``rows`` times the row width, or a body CRC-32
+mismatch.  A miss deletes the entry, ticks the ``corrupt`` counter and
+the caller recomputes, so a crash can never poison the store, only
+shrink it.
 
 Bounding
 --------
@@ -46,11 +53,12 @@ Stats (hits/misses/evictions/corrupt/bytes) surface through
 
 from __future__ import annotations
 
-import io
 import json
 import os
+import struct
 import tempfile
 import threading
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -71,7 +79,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 #: Payload format version, folded into every key: bump it whenever the
 #: on-disk layout changes and old entries become unreadable misses
 #: instead of decode errors.
-STORE_FORMAT = "repro-result-store-v1"
+STORE_FORMAT = "repro-result-store-v2"
+
+#: Entry prefix: header byte length, CRC-32 of the header bytes.
+_PREFIX = struct.Struct("<II")
+#: The header is space-padded so the body starts on this boundary,
+#: which (with the widest columns first) keeps every column view
+#: aligned.
+_ALIGN = 8
+#: Body layout: the outcome columns, widest first, little-endian.
+_LAYOUT: tuple[tuple[str, np.dtype[Any]], ...] = tuple(
+    sorted(
+        (
+            (name, np.dtype(dtype).newbyteorder("<"))
+            for name, dtype in OUTCOME_FIELDS
+        ),
+        key=lambda column: -column[1].itemsize,
+    )
+)
+#: ``_LAYOUT`` as the header's JSON ``columns`` field.
+_COLUMNS = [[name, dtype.str] for name, dtype in _LAYOUT]
+_ROW_BYTES = sum(dtype.itemsize for _, dtype in _LAYOUT)
 
 
 def task_store_key(
@@ -124,7 +152,7 @@ class ResultStore:
     ----------
     root:
         Store directory (created if missing).  Entries are sharded as
-        ``root/<key[:2]>/<key>.npz``.
+        ``root/<key[:2]>/<key>.bin``.
     max_bytes:
         LRU byte budget; ``None`` (default) leaves the store unbounded.
 
@@ -148,18 +176,28 @@ class ResultStore:
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.npz"
+        return self.root / key[:2] / f"{key}.bin"
 
     def _entry_files(self) -> list[Path]:
-        """Every committed entry file (in-flight ``.tmp`` files are
-        invisible by construction: they never carry the ``.npz``
-        suffix)."""
+        """Every regular file in a two-character shard directory.
+
+        In-flight ``.tmp`` files live in the root, so they are invisible
+        by construction.  Any suffix counts, so entries of an older
+        format still count towards the budget, are evicted and are
+        cleared instead of leaking disk.
+        """
         if not self.root.is_dir():
             return []
         files: list[Path] = []
-        for shard in self.root.iterdir():
-            if shard.is_dir() and len(shard.name) == 2:
-                files.extend(shard.glob("*.npz"))
+        with os.scandir(self.root) as shards:
+            for shard in shards:
+                if len(shard.name) == 2 and shard.is_dir():
+                    with os.scandir(shard.path) as entries:
+                        files.extend(
+                            Path(entry.path)
+                            for entry in entries
+                            if entry.is_file()
+                        )
         return files
 
     # ------------------------------------------------------------------
@@ -223,41 +261,59 @@ class ResultStore:
 
     # ------------------------------------------------------------------
     def _encode(self, result: SimulationResult) -> bytes:
-        """The ``.npz`` payload bytes for one result."""
+        """The entry bytes for one result: prefix, header, body."""
         table = result.table
-        meta = {
+        body = b"".join(
+            np.asarray(getattr(table, name), dtype=dtype).tobytes()
+            for name, dtype in _LAYOUT
+        )
+        header = {
             "format": STORE_FORMAT,
             "policy": result.policy,
             "method": result.method,
             "machines": list(result.machines),
             "table_machines": list(table.machines),
+            "rows": len(table),
+            "columns": _COLUMNS,
+            "crc32": zlib.crc32(body),
         }
-        columns: dict[str, Any] = {
-            name: getattr(table, name) for name, _ in OUTCOME_FIELDS
-        }
-        columns["__meta__"] = np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-        )
-        buffer = io.BytesIO()
-        np.savez(buffer, **columns)
-        return buffer.getvalue()
+        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        text += b" " * (-(_PREFIX.size + len(text)) % _ALIGN)
+        return _PREFIX.pack(len(text), zlib.crc32(text)) + text + body
 
     def _load(self, path: Path) -> SimulationResult:
         """Decode one entry; raises on anything malformed."""
         with open(path, "rb") as fh:
             raw = fh.read()
-        with np.load(io.BytesIO(raw), allow_pickle=False) as data:
-            meta = json.loads(bytes(data["__meta__"].tobytes()).decode("utf-8"))
-            if not isinstance(meta, dict) or meta.get("format") != STORE_FORMAT:
-                raise ValueError("unknown result-store entry format")
-            columns = {name: data[name] for name, _ in OUTCOME_FIELDS}
+        header_len, header_crc = _PREFIX.unpack_from(raw)
+        offset = _PREFIX.size + header_len
+        header_bytes = raw[_PREFIX.size : offset]
+        if offset % _ALIGN or zlib.crc32(header_bytes) != header_crc:
+            raise ValueError("result-store entry header is corrupt")
+        header = json.loads(header_bytes)
+        if not isinstance(header, dict) or header.get("format") != STORE_FORMAT:
+            raise ValueError("unknown result-store entry format")
+        if header.get("columns") != _COLUMNS:
+            raise ValueError("unknown result-store column layout")
+        rows = header["rows"]
+        body = memoryview(raw)[offset:]
+        if len(body) != rows * _ROW_BYTES:
+            raise ValueError("result-store entry body has the wrong length")
+        if zlib.crc32(body) != header["crc32"]:
+            raise ValueError("result-store entry body is corrupt")
+        columns: dict[str, np.ndarray[Any, np.dtype[Any]]] = {}
+        for name, dtype in _LAYOUT:
+            columns[name] = np.frombuffer(
+                raw, dtype=dtype, count=rows, offset=offset
+            )
+            offset += rows * dtype.itemsize
         table = OutcomeTable(
-            [str(m) for m in meta["table_machines"]], **columns
+            [str(m) for m in header["table_machines"]], **columns
         )
         return SimulationResult(
-            policy=str(meta["policy"]),
-            method=str(meta["method"]),
-            machines=[str(m) for m in meta["machines"]],
+            policy=str(header["policy"]),
+            method=str(header["method"]),
+            machines=[str(m) for m in header["machines"]],
             table=table,
         )
 

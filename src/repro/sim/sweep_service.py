@@ -423,11 +423,13 @@ class SweepService:
         Store hits are delivered synchronously before this returns;
         misses are queued (deduplicated against identical in-flight
         grid points, so overlapping submissions share one computation).
+        Every task is keyed before the store or the backlog is touched,
+        so a grid with an unknown scenario raises and queues nothing.
         """
         self.start()
         submission = SweepSubmission(tasks)
-        for task in submission.tasks:
-            key = self.store_key(task)
+        keys = [self.store_key(task) for task in submission.tasks]
+        for task, key in zip(submission.tasks, keys):
             cached = self.store.get(key)
             if cached is not None:
                 with self._lock:
@@ -656,8 +658,9 @@ def serve_stdio(
     (store hits first) then a ``sweep-done`` event with the
     submission's from-store/computed split and full service stats;
     ``{"op": "stats"}`` emits a ``stats`` event; ``{"op": "shutdown"}``
-    stops the service.  Malformed input produces an ``error`` event,
-    never a crash.
+    stops the service.  Malformed input — including a grid axis that is
+    not a list or names an unknown scenario — produces an ``error``
+    event, never a crash.
     """
 
     def emit(event: Mapping[str, object]) -> None:
@@ -693,16 +696,31 @@ def serve_stdio(
             if op != "sweep":
                 emit({"event": "error", "message": f"unknown op {op!r}"})
                 continue
-            tasks = sweep_grid(
-                scenarios=request.get("scenarios", ["baseline"]),
-                policies=request.get("policies")
+            axes = {
+                "scenarios": request.get("scenarios", ["baseline"]),
+                "policies": request.get("policies")
                 or [p.name for p in standard_policies()],
-                methods=request.get("methods")
+                "methods": request.get("methods")
                 or [m.name for m in all_methods()],
-                scales=request.get("scales", [250]),
-                seeds=request.get("seeds", [0]),
-            )
-            submission = service.submit(tasks)
+                "scales": request.get("scales", [250]),
+                "seeds": request.get("seeds", [0]),
+            }
+            try:
+                for name, axis in axes.items():
+                    if not isinstance(axis, list):
+                        raise ValueError(f"{name!r} must be a list, got {axis!r}")
+                tasks = sweep_grid(**axes)
+                submission = service.submit(tasks)
+            except (KeyError, TypeError, ValueError) as exc:
+                # Unknown scenario, non-list axis, unhashable or
+                # unparsable grid value: nothing was queued.
+                emit(
+                    {
+                        "event": "error",
+                        "message": f"bad sweep request: {type(exc).__name__}: {exc}",
+                    }
+                )
+                continue
             try:
                 for task, result in submission.results():
                     emit({"event": "result", **_result_summary(task, result)})

@@ -5,9 +5,13 @@ truncated, corrupt, wrong format — is a miss that deletes the entry and
 recomputes; the store never raises for bad bytes.
 """
 
-import io
+import json
 import os
 import pickle
+import re
+import struct
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,11 @@ from repro.accounting.pricing import (
     QuoteTable,
     fingerprint_digest,
 )
-from repro.sim.engine import MultiClusterSimulator, pricing_for_sim_machine
+from repro.sim.engine import (
+    MultiClusterSimulator,
+    SimulationResult,
+    pricing_for_sim_machine,
+)
 from repro.sim.result_store import (
     STORE_FORMAT,
     ResultStore,
@@ -80,6 +88,28 @@ def assert_results_equal(got, expected):
         got.total_attributed_carbon_g()
         == expected.total_attributed_carbon_g()
     )
+
+
+DOCS = Path(__file__).resolve().parents[2] / "docs"
+
+#: The documented entry prefix: header length, CRC-32 of the header.
+PREFIX = struct.Struct("<II")
+
+
+def split_entry(raw: bytes) -> tuple[dict, bytes]:
+    """An entry's JSON header and column bytes, per the documented
+    layout (prefix, space-padded header, body)."""
+    header_len, _ = PREFIX.unpack_from(raw)
+    header = json.loads(raw[PREFIX.size : PREFIX.size + header_len])
+    return header, raw[PREFIX.size + header_len :]
+
+
+def join_entry(header, body: bytes) -> bytes:
+    """A well-formed entry (valid prefix, padding and header CRC) with
+    the given header and body: the inverse of :func:`split_entry`."""
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    text += b" " * (-(PREFIX.size + len(text)) % 8)
+    return PREFIX.pack(len(text), zlib.crc32(text)) + text + body
 
 
 class TestKeying:
@@ -176,6 +206,64 @@ class TestRoundTrip:
         assert got is not None
         assert_results_equal(got, result)
 
+    def test_columns_are_aligned_zero_copy_views(self, tmp_path, sample_results):
+        """An odd row count is where a narrow column could misalign the
+        ones after it; every loaded column must still be an aligned,
+        read-only view of the one buffer read from disk."""
+        full = sample_results["CBA"]
+        odd = len(full.table) - (1 - len(full.table) % 2)
+        result = SimulationResult(
+            policy=full.policy,
+            method=full.method,
+            machines=full.machines,
+            table=OutcomeTable(
+                full.table.machines,
+                **{
+                    name: getattr(full.table, name)[:odd]
+                    for name, _ in OUTCOME_FIELDS
+                },
+            ),
+        )
+        store = ResultStore(tmp_path)
+        store.put("ab" * 32, result)
+        got = store.get("ab" * 32)
+        assert got is not None and len(got.table) == odd
+        spans = []
+        for name, dtype in OUTCOME_FIELDS:
+            column = getattr(got.table, name)
+            assert column.dtype == np.dtype(dtype)
+            assert column.flags.aligned and not column.flags.writeable
+            assert not column.flags.owndata
+            spans.append((column.ctypes.data, column.nbytes))
+            np.testing.assert_array_equal(column, getattr(result.table, name))
+        # Back to back in one buffer: nothing was copied out of the read.
+        spans.sort()
+        for (start, size), (following, _) in zip(spans, spans[1:]):
+            assert start + size == following
+        assert_results_equal(got, result)
+
+    def test_entry_layout_is_self_describing(self, tmp_path, sample_results):
+        """The documented ``json`` + ``np.frombuffer`` reader (run from
+        the docs page itself) reads every column back."""
+        doc = DOCS / "architecture" / "sweep-service.md"
+        reader = re.search(r"```python\n(.*?)```", doc.read_text(), re.S)
+        assert reader is not None
+        result = sample_results["EBA"]
+        store = ResultStore(tmp_path)
+        store.put("cd" * 32, result)
+        path = store._path("cd" * 32)
+        header, body = split_entry(path.read_bytes())
+        assert header["format"] == STORE_FORMAT
+        assert header["rows"] == len(result.table)
+        assert header["crc32"] == zlib.crc32(body)
+        namespace = {"path": path}
+        exec(reader.group(1), namespace)
+        columns = namespace["columns"]
+        assert set(columns) == {name for name, _ in OUTCOME_FIELDS}
+        for name, column in columns.items():
+            np.testing.assert_array_equal(column, getattr(result.table, name))
+        assert sum(column.nbytes for column in columns.values()) == len(body)
+
     def test_unknown_key_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         assert store.get(fingerprint_digest("nothing here")) is None
@@ -211,14 +299,53 @@ class TestRecovery:
 
     def test_stale_format_version(self, tmp_path, sample_results, pricing_fp):
         store, key, path = self._stored(tmp_path, sample_results, pricing_fp)
-        with np.load(io.BytesIO(path.read_bytes())) as data:
-            columns = {name: data[name] for name in data.files}
-        columns["__meta__"] = np.frombuffer(
-            b'{"format": "repro-result-store-v0"}', dtype=np.uint8
-        )
-        buffer = io.BytesIO()
-        np.savez(buffer, **columns)
-        path.write_bytes(buffer.getvalue())
+        header, body = split_entry(path.read_bytes())
+        header["format"] = "repro-result-store-v0"
+        path.write_bytes(join_entry(header, body))
+        assert store.get(key) is None
+        assert store.stats().corrupt == 1
+
+    def test_flipped_body_bit_is_a_miss(
+        self, tmp_path, sample_results, pricing_fp
+    ):
+        store, key, path = self._stored(tmp_path, sample_results, pricing_fp)
+        raw = bytearray(path.read_bytes())
+        _, body = split_entry(bytes(raw))
+        raw[len(raw) - len(body) // 2] ^= 0x10  # mid-column, same length
+        path.write_bytes(bytes(raw))
+        assert store.get(key) is None
+        assert not path.exists()
+        assert store.stats().corrupt == 1
+
+    def test_flipped_header_bit_is_a_miss(
+        self, tmp_path, sample_results, pricing_fp
+    ):
+        """The header carries the labels (policy, machine names): a
+        flipped bit there must not be served as a different result."""
+        store, key, path = self._stored(tmp_path, sample_results, pricing_fp)
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b'"Greedy"') + 1
+        raw[at] ^= 0x01  # "Greedy" -> "Freedy": still valid JSON
+        path.write_bytes(bytes(raw))
+        assert store.get(key) is None
+        assert store.stats().corrupt == 1
+
+    def test_row_count_mismatch_is_a_miss(
+        self, tmp_path, sample_results, pricing_fp
+    ):
+        store, key, path = self._stored(tmp_path, sample_results, pricing_fp)
+        header, body = split_entry(path.read_bytes())
+        header["rows"] += 1
+        path.write_bytes(join_entry(header, body))
+        assert store.get(key) is None
+        assert store.stats().corrupt == 1
+
+    def test_header_not_a_json_object_is_a_miss(
+        self, tmp_path, sample_results, pricing_fp
+    ):
+        store, key, path = self._stored(tmp_path, sample_results, pricing_fp)
+        header, body = split_entry(path.read_bytes())
+        path.write_bytes(join_entry([header], body))
         assert store.get(key) is None
         assert store.stats().corrupt == 1
 
@@ -300,6 +427,42 @@ class TestEviction:
         store.clear()
         assert store.stats().entries == 0
         assert store.get(key) is None
+
+    def test_v1_files_still_counted_and_evicted(
+        self, tmp_path, sample_results, pricing_fp
+    ):
+        """``.npz`` entries of the previous format are never read again
+        (the format is folded into every key), but they still count
+        towards the byte budget, are evicted and are cleared."""
+
+        def plant_v1(store):
+            stale = store.root / "0f" / f"{'0f' * 32}.npz"
+            stale.parent.mkdir(parents=True, exist_ok=True)
+            np.savez(stale, job_id=np.arange(4000, dtype=np.int64))
+            os.utime(stale, (100, 100))  # older than any new entry
+            return stale
+
+        key = task_store_key(task_for("EBA"), pricing_fp)
+        store = ResultStore(tmp_path / "counted")
+        stale = plant_v1(store)
+        store.put(key, sample_results["EBA"])
+        stats = store.stats()
+        assert stats.entries == 2
+        assert stats.bytes == (
+            stale.stat().st_size + store._path(key).stat().st_size
+        )
+        store.clear()
+        assert not stale.exists()
+        assert store.stats().entries == 0
+
+        entry_size = len(store._encode(sample_results["EBA"]))
+        tight = ResultStore(tmp_path / "tight", max_bytes=entry_size + 64)
+        stale = plant_v1(tight)
+        tight.put(key, sample_results["EBA"])
+        assert not stale.exists()
+        stats = tight.stats()
+        assert (stats.entries, stats.evictions) == (1, 1)
+        assert tight.get(key) is not None
 
     def test_stats_as_dict_shape(self, tmp_path):
         stats = ResultStore(tmp_path).stats()

@@ -228,6 +228,27 @@ class TestFailureHandling:
             block.unlink()
             service.close()
 
+    def test_unknown_scenario_queues_nothing(self, tmp_path):
+        """Every task is keyed before the store or the backlog is
+        touched: a grid naming an unknown scenario raises at submit and
+        leaves no half-queued work or store traffic behind."""
+        mixed = sweep_grid(
+            scenarios=["tiered", "nope"],
+            policies=["Greedy"],
+            methods=["EBA"],
+            scales=[SCALE],
+            seeds=[SEED],
+        )
+        service = _service(tmp_path, workers=1)
+        try:
+            with pytest.raises(KeyError, match="nope"):
+                service.submit(mixed)
+            stats = service.stats()
+            assert stats.submitted == stats.queue_depth == 0
+            assert (stats.store.hits, stats.store.misses) == (0, 0)
+        finally:
+            service.close()
+
     def test_negative_retry_budget_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_retries"):
             _service(tmp_path, max_retries=-1)
@@ -366,3 +387,45 @@ class TestServeStdio:
         assert json.dumps(line1, sort_keys=True) == json.dumps(
             line2, sort_keys=True
         )
+
+    def test_bad_grid_is_an_error_event_and_serving_continues(self, tmp_path):
+        good = {
+            "op": "sweep",
+            "policies": ["Greedy"],
+            "methods": ["EBA"],
+            "scales": [SCALE],
+            "seeds": [SEED],
+        }
+        code, events = self._serve(
+            tmp_path,
+            [
+                json.dumps({"op": "sweep", "scenarios": ["nope"]}) + "\n",
+                json.dumps({**good, "scenarios": ["tiered", "nope"]}) + "\n",
+                json.dumps({**good, "scenarios": "tiered"}) + "\n",
+                json.dumps({**good, "scenarios": ["tiered:frac=x"]}) + "\n",
+                '{"op": "stats"}\n',
+                json.dumps(good) + "\n",
+                '{"op": "shutdown"}\n',
+            ],
+        )
+        assert code == 0
+        assert [e["event"] for e in events] == [
+            "ready",
+            "error",  # unknown scenario
+            "error",  # a known and an unknown scenario
+            "error",  # an axis that is a string, not a list
+            "error",  # an unparsable scenario knob
+            "stats",
+            "result",
+            "sweep-done",
+            "bye",
+        ]
+        assert "nope" in events[1]["message"]
+        assert "nope" in events[2]["message"]
+        assert "'scenarios' must be a list" in events[3]["message"]
+        assert "ValueError" in events[4]["message"]
+        stats = events[5]
+        assert (stats["submitted"], stats["queue_depth"]) == (0, 0)
+        assert (stats["store"]["hits"], stats["store"]["misses"]) == (0, 0)
+        done = events[7]
+        assert (done["from_store"], done["computed"]) == (0, 1)

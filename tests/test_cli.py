@@ -75,6 +75,17 @@ class TestSweepServe:
         assert events[0]["workers"] == 1
         assert events[1]["store"]["entries"] == 0
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-store-bytes", "0"), ("--max-retries", "-1")],
+    )
+    def test_serve_rejects_bad_bounds(self, tmp_path, capsys, flag, value):
+        store = tmp_path / "store"
+        assert main(["sweep", "serve", "--store", str(store), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(flag) and err.count("\n") == 1
+        assert not store.exists()  # rejected before anything was built
+
     def test_sweep_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main(["sweep"])
